@@ -8,9 +8,8 @@
 //!
 //! Checks, per snapshot row: the JSON parses into the typed snapshot shape,
 //! the ingest counters are present and consistent (reports > 0, exactly one
-//! per-shard counter per shard summing to the total), the batch-flush and
-//! merge latency histograms recorded events, and the phase-duration gauges
-//! are positive. Exits non-zero with a diagnostic on the first violation.
+//! per-shard counter per shard summing to the total), the merge latency
+//! histogram recorded events, and the phase-duration gauges are positive. Exits non-zero with a diagnostic on the first violation.
 
 use hdldp_bench::ShardTelemetryRow;
 
@@ -48,16 +47,15 @@ fn check(rows: &[ShardTelemetryRow]) -> Result<(), String> {
             ));
         }
 
-        for name in ["ingest_batch_flush_ns", "ingest_merge_ns"] {
-            let hist = snapshot
-                .histogram(name)
-                .ok_or(format!("{context}: missing histogram {name}"))?;
-            if hist.count == 0 {
-                return Err(format!("{context}: histogram {name} recorded nothing"));
-            }
-            if hist.max_ns < hist.p50_ns {
-                return Err(format!("{context}: histogram {name} has max < p50"));
-            }
+        let name = "ingest_merge_ns";
+        let hist = snapshot
+            .histogram(name)
+            .ok_or(format!("{context}: missing histogram {name}"))?;
+        if hist.count == 0 {
+            return Err(format!("{context}: histogram {name} recorded nothing"));
+        }
+        if hist.max_ns < hist.p50_ns {
+            return Err(format!("{context}: histogram {name} has max < p50"));
         }
 
         for name in ["phase_ingest_seconds", "phase_estimate_seconds"] {

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! With `--telemetry`, each run records into an `hdldp_telemetry::Registry`
-//! (per-shard report counters, batch-flush and merge latency histograms,
+//! (per-shard report counters, the merge latency histogram,
 //! phase-duration gauges); the per-run snapshots are printed as tables and
 //! written to `results/telemetry_million_user_ingest.json`.
 //!

@@ -14,11 +14,13 @@
 //!   the MSE of the sharded estimate against, at any population size.
 //!
 //! Users stream through [`hdldp_protocol::IngestEngine`]: hash-partitioned
-//! across shards, batched shard-locally, merged on read. The driver reports
-//! throughput (users and reports per second) alongside the estimate's MSE.
+//! across shards, accumulated shard-locally, merged on read. Each user's
+//! randomness is seeded by [`hdldp_protocol::user_seed`], the same stream the
+//! pipelines use. The driver reports throughput (users and reports per
+//! second) alongside the estimate's MSE.
 
 use hdldp_mechanisms::{build_mechanism, MechanismKind};
-use hdldp_protocol::{BudgetSplit, Client, IngestConfig, IngestEngine};
+use hdldp_protocol::{splitmix64, user_seed, BudgetSplit, Client, IngestConfig, IngestEngine};
 use hdldp_telemetry::{Registry, TelemetrySnapshot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,7 +40,7 @@ pub struct IngestSimConfig {
     pub total_epsilon: f64,
     /// Number of ingest shards.
     pub shards: usize,
-    /// Reports buffered per shard between flushes.
+    /// Reports per shard between two telemetry ticks.
     pub batch_capacity: usize,
     /// The perturbation mechanism.
     pub mechanism: MechanismKind,
@@ -79,7 +81,7 @@ pub struct IngestSimSummary {
     pub total_epsilon: f64,
     /// Number of ingest shards.
     pub shards: usize,
-    /// Reports buffered per shard between flushes.
+    /// Reports per shard between two telemetry ticks.
     pub batch_capacity: usize,
     /// Seed of the deterministic per-user randomness.
     pub seed: u64,
@@ -108,17 +110,9 @@ pub struct IngestSimSummary {
     pub max_shard_load: usize,
 }
 
-/// SplitMix64 finalizer used to derive per-(user, dimension) randomness.
-fn mix(z: u64) -> u64 {
-    let mut z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A uniform draw in `[0, 1)` from a mixed 64-bit state (53 mantissa bits).
 fn unit(z: u64) -> f64 {
-    (mix(z) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    (splitmix64(z) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// The exact population mean of dimension `j`: a deterministic value in
@@ -132,7 +126,7 @@ pub fn population_mean(dim: usize) -> f64 {
 /// width-1 window centred on [`population_mean`]`(dim)`, so the population
 /// mean is exact by construction.
 pub fn user_value(seed: u64, user: u64, dim: usize) -> f64 {
-    let noise = unit(seed ^ mix(user) ^ (dim as u64).rotate_left(32)) - 0.5;
+    let noise = unit(seed ^ splitmix64(user) ^ (dim as u64).rotate_left(32)) - 0.5;
     population_mean(dim) + noise
 }
 
@@ -172,7 +166,7 @@ pub fn simulate_ingest_with(
     let seed = config.seed;
     let start = Instant::now();
     engine.ingest_partitioned(0..config.users, |user, out| {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(mix(user)));
+        let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
         client.perturb_lazy_into(|dim| user_value(seed, user, dim), &mut rng, out);
         Ok(())
     })?;
@@ -303,7 +297,13 @@ mod tests {
         let per_shard = snapshot.counter("ingest_shard000_reports_total").unwrap()
             + snapshot.counter("ingest_shard001_reports_total").unwrap();
         assert_eq!(per_shard, 2_000);
-        assert!(snapshot.histogram("ingest_batch_flush_ns").unwrap().count > 0);
+        // Each of the two shards publishes one tick per batch_capacity
+        // reports, plus its remainder.
+        let ticks = |load: usize| load.div_ceil(config.batch_capacity) as u64;
+        assert_eq!(
+            snapshot.counter("ingest_batch_flushes_total"),
+            Some(ticks(summary.min_shard_load) + ticks(summary.max_shard_load))
+        );
         assert!(snapshot.gauge("phase_ingest_seconds").unwrap() > 0.0);
         assert!(snapshot.gauge("phase_estimate_seconds").unwrap() > 0.0);
         assert!(summary.ingest_secs > 0.0 && summary.estimate_secs > 0.0);

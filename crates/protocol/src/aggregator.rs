@@ -6,8 +6,8 @@
 //! baseline aggregation whose sub-optimality in high-dimensional space the
 //! paper establishes, and the input HDR4ME re-calibrates.
 //!
-//! This type is the *reference* single-loop implementation: it additionally
-//! tracks Welford running variances and extrema for diagnostics. The scaled
+//! This type is the *reference* single-loop implementation, kept as a test
+//! oracle: one Welford running mean per dimension, with no sharding. The
 //! collection path lives in [`crate::ingest`], whose sharded engine must (and
 //! is tested to) produce the same estimated means.
 
@@ -75,27 +75,6 @@ impl Aggregator {
         Ok(())
     }
 
-    /// Merge another aggregator (e.g. from a parallel shard) into this one.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfig`] when the dimensionalities differ.
-    pub fn merge(&mut self, other: &Aggregator) -> crate::Result<()> {
-        if other.dims != self.dims {
-            return Err(ProtocolError::InvalidConfig {
-                name: "dims",
-                reason: format!(
-                    "cannot merge aggregators of {} and {} dims",
-                    self.dims, other.dims
-                ),
-            });
-        }
-        for (mine, theirs) in self.per_dimension.iter_mut().zip(&other.per_dimension) {
-            mine.merge(theirs);
-        }
-        self.reports += other.reports;
-        Ok(())
-    }
-
     /// Number of values received in each dimension (`r_j`).
     pub fn report_counts(&self) -> Vec<u64> {
         self.per_dimension.iter().map(|m| m.count()).collect()
@@ -116,13 +95,6 @@ impl Aggregator {
             means.push(acc.mean());
         }
         Ok(means)
-    }
-
-    /// Per-dimension sample variance of the received perturbed values
-    /// (diagnostic; used by tests and the examples to illustrate how noisy the
-    /// raw reports are).
-    pub fn report_variances(&self) -> Vec<f64> {
-        self.per_dimension.iter().map(|m| m.variance()).collect()
     }
 }
 
@@ -165,30 +137,5 @@ mod tests {
             agg.estimated_means(),
             Err(ProtocolError::EmptyDimension { dimension: 1 })
         ));
-    }
-
-    #[test]
-    fn merge_combines_shards() {
-        let mut a = Aggregator::new(2).unwrap();
-        a.ingest(&Report::new(vec![(0, 1.0), (1, 2.0)])).unwrap();
-        let mut b = Aggregator::new(2).unwrap();
-        b.ingest(&Report::new(vec![(0, 3.0)])).unwrap();
-        b.ingest(&Report::new(vec![(1, 4.0)])).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.reports(), 3);
-        assert_eq!(a.report_counts(), vec![2, 2]);
-        assert_eq!(a.estimated_means().unwrap(), vec![2.0, 3.0]);
-        let wrong = Aggregator::new(3).unwrap();
-        assert!(a.merge(&wrong).is_err());
-    }
-
-    #[test]
-    fn report_variances_track_spread() {
-        let mut agg = Aggregator::new(1).unwrap();
-        for v in [1.0, 3.0, 5.0] {
-            agg.ingest(&Report::new(vec![(0, v)])).unwrap();
-        }
-        let var = agg.report_variances()[0];
-        assert!((var - 8.0 / 3.0).abs() < 1e-12);
     }
 }

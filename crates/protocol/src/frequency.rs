@@ -9,16 +9,16 @@
 //! `d` high-dimensional mean-estimation problems, to which both the analytical
 //! framework and HDR4ME apply unchanged.
 
-use crate::{BudgetSplit, ProtocolError};
+use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::CategoricalDataset;
-use hdldp_math::RunningMoments;
 use hdldp_mechanisms::{
-    LaplaceMechanism, Mechanism, MechanismKind, PiecewiseMechanism, Rescaled, SquareWaveMechanism,
+    DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
+    PiecewiseMechanism, Rescaled, ScdfMechanism, SquareWaveMechanism, StaircaseMechanism,
 };
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
-use rayon::prelude::*;
+use std::ops::Range;
 
 /// Configuration of a frequency-estimation run (same fields as the numeric
 /// pipeline; re-exported type alias for clarity at call sites).
@@ -78,70 +78,21 @@ impl FrequencyEstimate {
 }
 
 /// Build a mechanism of the given kind on the `[0, 1]` input domain of
-/// one-hot entries, with the given per-entry budget.
+/// one-hot entries, with the given per-entry budget. Square Wave is native
+/// on `[0, 1]`; every other kind is native on `[-1, 1]` and is transported
+/// by [`Rescaled`].
 fn build_unit_mechanism(kind: MechanismKind, epsilon: f64) -> crate::Result<Box<dyn Mechanism>> {
-    Ok(match kind {
-        MechanismKind::SquareWave => Box::new(SquareWaveMechanism::new(epsilon)?),
-        MechanismKind::Laplace => {
-            Box::new(Rescaled::new(LaplaceMechanism::new(epsilon)?, 0.0, 1.0)?)
-        }
-        MechanismKind::Piecewise => {
-            Box::new(Rescaled::new(PiecewiseMechanism::new(epsilon)?, 0.0, 1.0)?)
-        }
-        other => {
-            // Remaining mechanisms are natively on [-1, 1]; transport them.
-            Box::new(UnitRescaledDyn::new(other, epsilon)?)
-        }
-    })
-}
-
-/// A tiny helper wrapping `build_mechanism` + rescale for the trait-object case
-/// (Rescaled is generic over the concrete mechanism, so the generic path above
-/// covers the common kinds and this covers the rest through dynamic dispatch).
-struct UnitRescaledDyn {
-    inner: Box<dyn Mechanism>,
-}
-
-impl UnitRescaledDyn {
-    fn new(kind: MechanismKind, epsilon: f64) -> crate::Result<Self> {
-        Ok(Self {
-            inner: hdldp_mechanisms::build_mechanism(kind, epsilon)?,
-        })
+    fn unit<M: Mechanism + 'static>(inner: M) -> crate::Result<Box<dyn Mechanism>> {
+        Ok(Box::new(Rescaled::new(inner, 0.0, 1.0)?))
     }
-
-    fn to_native(&self, x: f64) -> f64 {
-        -1.0 + 2.0 * x.clamp(0.0, 1.0)
-    }
-}
-
-impl Mechanism for UnitRescaledDyn {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn epsilon(&self) -> f64 {
-        self.inner.epsilon()
-    }
-    fn bound(&self) -> hdldp_mechanisms::Bound {
-        self.inner.bound()
-    }
-    fn input_domain(&self) -> (f64, f64) {
-        (0.0, 1.0)
-    }
-    fn output_support(&self) -> (f64, f64) {
-        let (lo, hi) = self.inner.output_support();
-        ((lo + 1.0) / 2.0, (hi + 1.0) / 2.0)
-    }
-    fn perturb(&self, t: f64, rng: &mut dyn rand::RngCore) -> f64 {
-        (self.inner.perturb(self.to_native(t), rng) + 1.0) / 2.0
-    }
-    fn bias(&self, t: f64) -> f64 {
-        self.inner.bias(self.to_native(t)) / 2.0
-    }
-    fn variance(&self, t: f64) -> f64 {
-        self.inner.variance(self.to_native(t)) / 4.0
-    }
-    fn is_unbiased(&self) -> bool {
-        self.inner.is_unbiased()
+    match kind {
+        MechanismKind::SquareWave => Ok(Box::new(SquareWaveMechanism::new(epsilon)?)),
+        MechanismKind::Laplace => unit(LaplaceMechanism::new(epsilon)?),
+        MechanismKind::Scdf => unit(ScdfMechanism::new(epsilon)?),
+        MechanismKind::Staircase => unit(StaircaseMechanism::new(epsilon)?),
+        MechanismKind::Duchi => unit(DuchiMechanism::new(epsilon)?),
+        MechanismKind::Piecewise => unit(PiecewiseMechanism::new(epsilon)?),
+        MechanismKind::Hybrid => unit(HybridMechanism::new(epsilon)?),
     }
 }
 
@@ -194,80 +145,57 @@ impl FrequencyPipeline {
                 reason: format!("cannot report {m} of {dims} categorical dimensions"),
             });
         }
-        let users = data.users();
         let seed = self.config.seed;
-        let categories = data.categories().to_vec();
+        let mechanism = self.mechanism.as_ref();
 
-        // Per-dimension, per-category accumulators plus per-dimension report counts.
-        #[derive(Clone)]
-        struct Shard {
-            freq: Vec<Vec<RunningMoments>>,
-            counts: Vec<u64>,
+        // Flatten the one-hot encodings into one engine: entry (j, c) sits at
+        // offset_j + c, so dimension j owns the entry range `layout[j]`.
+        let mut layout: Vec<Range<usize>> = Vec::with_capacity(dims);
+        let mut entries = 0;
+        for &v in data.categories() {
+            layout.push(entries..entries + v);
+            entries += v;
         }
-        let empty = Shard {
-            freq: categories
-                .iter()
-                .map(|&c| vec![RunningMoments::new(); c])
-                .collect(),
-            counts: vec![0; dims],
+
+        let mut engine = IngestEngine::new(entries, IngestConfig::per_thread())?;
+        engine.ingest_partitioned(0..data.users() as u64, |user, out| {
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
+            for j in sample(&mut rng, dims, m) {
+                let value = data.value(user as usize, j).map_err(ProtocolError::from)?;
+                let range = layout.get(j).cloned().unwrap_or_default();
+                for (c, entry) in range.enumerate() {
+                    let raw = if c == value { 1.0 } else { 0.0 };
+                    out.push((entry, mechanism.perturb(raw, &mut rng)));
+                }
+            }
+            Ok(())
+        })?;
+
+        // Every report of dimension j carries all of its entries, so each
+        // entry's count is r_j and its mean is the category frequency.
+        let merged = engine.merged()?;
+        let (sums, counts) = (merged.sums(), merged.counts());
+        let mut estimate = FrequencyEstimate {
+            estimated: Vec::with_capacity(dims),
+            true_frequencies: Vec::with_capacity(dims),
+            report_counts: Vec::with_capacity(dims),
+            per_entry_epsilon: mechanism.epsilon(),
         };
-
-        let shards = rayon::current_num_threads().max(1);
-        let chunk = users.div_ceil(shards);
-        let partials: Vec<crate::Result<Shard>> = (0..shards)
-            .into_par_iter()
-            .map(|shard_idx| {
-                let mut shard = empty.clone();
-                let lo = shard_idx * chunk;
-                let hi = ((shard_idx + 1) * chunk).min(users);
-                for i in lo..hi {
-                    let user_seed =
-                        seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let mut rng = StdRng::seed_from_u64(user_seed);
-                    let chosen = sample(&mut rng, dims, m);
-                    for j in chosen {
-                        let value = data.value(i, j).map_err(ProtocolError::from)?;
-                        shard.counts[j] += 1;
-                        for c in 0..categories[j] {
-                            let raw = if c == value { 1.0 } else { 0.0 };
-                            let noisy = self.mechanism.perturb(raw, &mut rng);
-                            shard.freq[j][c].push(noisy);
-                        }
-                    }
-                }
-                Ok(shard)
-            })
-            .collect();
-
-        let mut total = empty;
-        for partial in partials {
-            let partial = partial?;
-            for (tj, pj) in total.freq.iter_mut().zip(&partial.freq) {
-                for (tc, pc) in tj.iter_mut().zip(pj) {
-                    tc.merge(pc);
-                }
-            }
-            for (tc, pc) in total.counts.iter_mut().zip(&partial.counts) {
-                *tc += pc;
-            }
-        }
-
-        let mut estimated = Vec::with_capacity(dims);
-        let mut true_frequencies = Vec::with_capacity(dims);
-        for (j, per_category) in total.freq.iter().enumerate() {
-            if total.counts[j] == 0 {
+        for (j, range) in layout.into_iter().enumerate() {
+            let reports = counts.get(range.start).copied().unwrap_or(0);
+            if reports == 0 {
                 return Err(ProtocolError::EmptyDimension { dimension: j });
             }
-            estimated.push(per_category.iter().map(|acc| acc.mean()).collect());
-            true_frequencies.push(data.true_frequencies(j).map_err(ProtocolError::from)?);
+            let dim_sums = sums.get(range).unwrap_or_default();
+            estimate
+                .estimated
+                .push(dim_sums.iter().map(|s| s / reports as f64).collect());
+            estimate
+                .true_frequencies
+                .push(data.true_frequencies(j).map_err(ProtocolError::from)?);
+            estimate.report_counts.push(reports);
         }
-
-        Ok(FrequencyEstimate {
-            estimated,
-            true_frequencies,
-            report_counts: total.counts,
-            per_entry_epsilon: self.mechanism.epsilon(),
-        })
+        Ok(estimate)
     }
 }
 
@@ -302,6 +230,17 @@ mod tests {
             let m = build_unit_mechanism(kind, 0.5).unwrap();
             assert_eq!(m.input_domain(), (0.0, 1.0), "{kind:?}");
             assert!((m.epsilon() - 0.5).abs() < 1e-12, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn unit_mechanism_bounds_match_their_output_support() {
+        for kind in MechanismKind::ALL {
+            let m = build_unit_mechanism(kind, 0.5).unwrap();
+            let (lo, hi) = m.output_support();
+            let extent = lo.abs().max(hi.abs());
+            let expected = extent.is_finite().then_some(extent);
+            assert_eq!(m.bound().limit(), expected, "{kind:?}");
         }
     }
 

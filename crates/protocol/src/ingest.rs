@@ -1,23 +1,21 @@
-//! The sharded, batched ingest engine: the collector-side path that scales
-//! the paper's aggregation to millions of users.
+//! The sharded ingest engine: the collector-side path that scales the
+//! paper's aggregation to millions of users.
 //!
 //! The single-loop [`crate::Aggregator`] is the *reference* implementation of
-//! the calibration + aggregation phase (Section IV-B); this module is the
-//! production-shaped path built on three pieces:
+//! the calibration + aggregation phase (Section IV-B), kept as a test
+//! oracle; this module is the production path, built on two pieces:
 //!
-//! * [`ReportBatch`] — a bounded flat buffer of reports (one contiguous
-//!   array of `(dimension index, perturbed value)` entries), so reports flow
-//!   to shards without a per-report heap allocation.
 //! * [`crate::ShardRouter`] — hash-partitions reports across shards by user
 //!   id, independent of arrival order and thread count.
 //! * [`crate::ShardAccumulator`] — per-shard partial sums/counts per
 //!   dimension, merged **on read**.
 //!
-//! The resulting [`IngestEngine`] produces exactly the same estimated means
-//! as the single loop — per-dimension sums and counts are order-insensitive
-//! up to floating-point rounding, and the integration tests assert
-//! bit-for-bit equality on inputs where addition is exact — while the hot
-//! loop is two indexed adds per entry, shard-local and allocation-free.
+//! Every report is accumulated straight into its shard, so the hot loop is
+//! one indexed add per entry, shard-local and allocation-free. The resulting
+//! [`IngestEngine`] produces exactly the same estimated means as the single
+//! loop — per-dimension sums and counts are order-insensitive up to
+//! floating-point rounding, and the integration tests assert bit-for-bit
+//! equality on inputs where addition is exact.
 //!
 //! ```
 //! use hdldp_protocol::{IngestConfig, IngestEngine, Report};
@@ -31,13 +29,17 @@
 //! ```
 
 use crate::shard::{ShardAccumulator, ShardRouter};
-use crate::telemetry::IngestMetrics;
+use crate::telemetry::{IngestMetrics, Tick};
 use crate::{ProtocolError, Report};
 use hdldp_telemetry::Registry;
 use rayon::prelude::*;
 use std::ops::Range;
 
 /// A bounded, flat batch of reports.
+///
+/// [`IngestEngine`] does not use it: the engine accumulates every report
+/// directly into its shard. The type remains for callers that buffer reports
+/// themselves and drain them with [`ShardAccumulator::ingest_batch`].
 ///
 /// Entries are stored as one contiguous array of `(u32 dimension index,
 /// f64 perturbed value)` pairs plus report-boundary offsets, so pushing a
@@ -180,7 +182,7 @@ impl ReportBatch {
     }
 }
 
-/// Configuration of an [`IngestEngine`]: shard count and batch capacity.
+/// Configuration of an [`IngestEngine`]: shard count and telemetry tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
     shards: usize,
@@ -188,11 +190,11 @@ pub struct IngestConfig {
 }
 
 impl IngestConfig {
-    /// Default number of reports buffered per shard before a flush.
+    /// Default number of reports per shard between two telemetry ticks.
     pub const DEFAULT_BATCH_CAPACITY: usize = 256;
 
-    /// Create a config with `shards` shards and `batch_capacity` reports
-    /// buffered per shard between flushes.
+    /// Create a config with `shards` shards that publish their ingest
+    /// counters once every `batch_capacity` reports.
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when either is zero.
@@ -228,7 +230,8 @@ impl IngestConfig {
         self.shards
     }
 
-    /// The configured per-shard batch capacity (in reports).
+    /// The telemetry tick: reports per shard between two publications of
+    /// the ingest counters.
     pub fn batch_capacity(&self) -> usize {
         self.batch_capacity
     }
@@ -240,35 +243,35 @@ impl Default for IngestConfig {
     }
 }
 
-/// The sharded, batched ingest engine.
+/// The sharded ingest engine.
 ///
 /// Reports enter either one at a time via [`submit`](IngestEngine::submit)
-/// (buffered in a bounded per-shard [`ReportBatch`] and flushed into the
-/// shard's [`ShardAccumulator`] when the batch fills) or in bulk via
-/// [`ingest_partitioned`](IngestEngine::ingest_partitioned) (each shard
-/// processes exactly the users that hash to it, in parallel, with
-/// shard-local batching — no locks, no cross-shard traffic). Estimates are
-/// produced by **merge-on-read**: [`merged`](IngestEngine::merged) folds the
-/// per-shard partials (and any still-buffered batches) into one accumulator
-/// without disturbing ingest state.
+/// or in bulk via [`ingest_partitioned`](IngestEngine::ingest_partitioned)
+/// (each shard processes exactly the users that hash to it, in parallel — no
+/// locks, no cross-shard traffic). Either way a report is accumulated
+/// straight into its shard's [`ShardAccumulator`], so the shards are always
+/// current. Estimates are produced by **merge-on-read**:
+/// [`merged`](IngestEngine::merged) folds the per-shard partials into one
+/// accumulator without disturbing ingest state.
 ///
 /// Both paths accumulate each shard's reports in increasing user-id order,
 /// so for a fixed shard count the engine's state is a pure function of the
 /// submitted reports — independent of thread count and scheduling.
 ///
 /// Engines built with [`IngestEngine::with_telemetry`] record runtime metrics
-/// (reports, rejects, batch-flush and merge latency, per-shard load) into the
-/// given [`Registry`] at **flush granularity** — once per
-/// [`IngestConfig::batch_capacity`] reports — so the per-report submit path
-/// performs no atomic traffic. [`IngestEngine::new`] wires the engine to a
-/// disabled registry, which reduces every recording site to one branch.
+/// (reports, rejects, merge latency, per-shard load) into the given
+/// [`Registry`] once per *tick* — every [`IngestConfig::batch_capacity`]
+/// reports per shard — so the per-report paths perform no atomic traffic.
+/// [`IngestEngine::new`] wires the engine to a disabled registry, which
+/// reduces every recording site to one branch.
 #[derive(Debug, Clone)]
 pub struct IngestEngine {
     dims: usize,
     router: ShardRouter,
     batch_capacity: usize,
-    pending: Vec<ReportBatch>,
     shards: Vec<ShardAccumulator>,
+    /// The submit path's unpublished telemetry tick, per shard.
+    ticks: Vec<Tick>,
     metrics: IngestMetrics,
 }
 
@@ -278,8 +281,7 @@ impl IngestEngine {
     /// [`Registry::disabled`]).
     ///
     /// # Errors
-    /// Returns [`ProtocolError::InvalidConfig`] when `dims` is zero or too
-    /// large for the batch index width.
+    /// Returns [`ProtocolError::InvalidConfig`] when `dims` is zero.
     pub fn new(dims: usize, config: IngestConfig) -> crate::Result<Self> {
         Self::with_telemetry(dims, config, &Registry::disabled())
     }
@@ -295,9 +297,6 @@ impl IngestEngine {
         registry: &Registry,
     ) -> crate::Result<Self> {
         let router = ShardRouter::new(config.shards())?;
-        let pending = (0..config.shards())
-            .map(|_| ReportBatch::new(dims, config.batch_capacity()))
-            .collect::<crate::Result<Vec<_>>>()?;
         let shards = (0..config.shards())
             .map(|_| ShardAccumulator::new(dims))
             .collect::<crate::Result<Vec<_>>>()?;
@@ -305,8 +304,8 @@ impl IngestEngine {
             dims,
             router,
             batch_capacity: config.batch_capacity(),
-            pending,
             shards,
+            ticks: vec![Tick::default(); config.shards()],
             metrics: IngestMetrics::register(registry, config.shards()),
         })
     }
@@ -321,32 +320,23 @@ impl IngestEngine {
         self.shards.len()
     }
 
-    /// The per-shard batch capacity (in reports).
+    /// The telemetry tick, in reports per shard.
     pub fn batch_capacity(&self) -> usize {
         self.batch_capacity
     }
 
-    /// Total reports ingested so far (accumulated + still buffered).
+    /// Total reports ingested so far.
     pub fn reports(&self) -> usize {
-        self.shards
-            .iter()
-            .map(ShardAccumulator::reports)
-            .sum::<usize>()
-            + self.pending.iter().map(ReportBatch::reports).sum::<usize>()
+        self.shards.iter().map(ShardAccumulator::reports).sum()
     }
 
-    /// Reports per shard (accumulated + still buffered), for load inspection.
+    /// Reports per shard, for load inspection.
     pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .zip(&self.pending)
-            .map(|(acc, batch)| acc.reports() + batch.reports())
-            .collect()
+        self.shards.iter().map(ShardAccumulator::reports).collect()
     }
 
-    /// Submit one report for `user_id`: route to its shard, buffer it in the
-    /// shard's bounded batch, and flush the batch into the shard accumulator
-    /// when it fills.
+    /// Submit one report for `user_id`: route it to its shard and accumulate
+    /// it there.
     ///
     /// # Errors
     /// Returns [`ProtocolError::DimensionOutOfRange`] when the report
@@ -362,43 +352,25 @@ impl IngestEngine {
     /// Same conditions as [`submit`](IngestEngine::submit).
     pub fn submit_entries(&mut self, user_id: u64, entries: &[(usize, f64)]) -> crate::Result<()> {
         let shard = self.router.route(user_id);
-        let batch = &mut self.pending[shard];
-        if let Err(e) = batch.push_entries(entries) {
+        if let Err(e) = self.shards[shard].accumulate(entries) {
             self.metrics.rejects.inc();
             return Err(e);
         }
-        if batch.is_full() {
-            let timer = self.metrics.flush_timer();
-            self.shards[shard].ingest_batch(batch)?;
-            timer.stop();
-            self.metrics
-                .record_flush(shard, batch.reports(), batch.entries());
-            batch.clear();
-        }
+        self.ticks[shard].count(&self.metrics, shard, entries.len(), self.batch_capacity);
         Ok(())
     }
 
-    /// Flush every partially filled batch into its shard accumulator.
+    /// Publish the submit path's partial ticks into the telemetry registry.
     ///
-    /// Reading paths ([`merged`](IngestEngine::merged) and friends) already
-    /// include buffered reports, so flushing is only needed to bound memory
-    /// or before comparing shard state directly.
+    /// The shard accumulators are always current, so reading paths never
+    /// need a flush; only the ingest counters lag behind by less than one
+    /// tick per shard until this is called.
     ///
     /// # Errors
-    /// Propagates a dimensionality mismatch from the shard accumulator.
-    /// Batches validate entries on `push`, so this only fires if a batch
-    /// was mutated outside the engine's control; already-flushed shards
-    /// keep their reports, the failing batch is left un-cleared.
+    /// Never fails; the `Result` keeps the signature callers already use.
     pub fn flush(&mut self) -> crate::Result<()> {
-        for (index, (shard, batch)) in self.shards.iter_mut().zip(&mut self.pending).enumerate() {
-            if !batch.is_empty() {
-                let timer = self.metrics.flush_timer();
-                shard.ingest_batch(batch)?;
-                timer.stop();
-                self.metrics
-                    .record_flush(index, batch.reports(), batch.entries());
-                batch.clear();
-            }
+        for (shard, tick) in self.ticks.iter_mut().enumerate() {
+            tick.publish(&self.metrics, shard);
         }
         Ok(())
     }
@@ -408,33 +380,32 @@ impl IngestEngine {
     /// `fill` produces user `u`'s report by appending `(dimension, value)`
     /// entries to the scratch vector it is handed (cleared between users).
     /// Each shard's worker walks the whole range but generates reports only
-    /// for the users that hash to it, so reports flow shard-locally through
-    /// a bounded batch: no locks, no cross-thread report traffic, and the
-    /// result is bit-for-bit identical to calling
-    /// [`submit_entries`](IngestEngine::submit_entries) for every user in
-    /// increasing id order on a freshly flushed engine.
+    /// for the users that hash to it and accumulates them shard-locally: no
+    /// locks, no cross-thread report traffic, and the result is bit-for-bit
+    /// identical to calling [`submit_entries`](IngestEngine::submit_entries)
+    /// for every user in increasing id order.
     ///
     /// # Errors
-    /// Propagates the first `fill` error; the engine is untouched when any
-    /// shard fails.
+    /// Propagates the first `fill` or validation error; the engine is
+    /// untouched when any shard fails.
     pub fn ingest_partitioned<F>(&mut self, users: Range<u64>, fill: F) -> crate::Result<()>
     where
         F: Fn(u64, &mut Vec<(usize, f64)>) -> crate::Result<()> + Sync,
     {
-        // Flush buffered reports first so per-shard arrival order matches the
-        // equivalent serial submit sequence.
+        // Publish the submit path's partial ticks first, so the counters
+        // stay in arrival order.
         self.flush()?;
         let dims = self.dims;
         let router = self.router;
         let capacity = self.batch_capacity;
         let fill = &fill;
-        let metrics = self.metrics.clone();
+        let metrics = &self.metrics;
 
         let partials: Vec<crate::Result<ShardAccumulator>> = (0..self.shard_count())
             .into_par_iter()
             .map(move |shard| {
                 let mut acc = ShardAccumulator::new(dims)?;
-                let mut batch = ReportBatch::new(dims, capacity)?;
+                let mut tick = Tick::default();
                 let mut scratch: Vec<(usize, f64)> = Vec::new();
                 for user_id in users.clone() {
                     if router.route(user_id) != shard {
@@ -442,21 +413,10 @@ impl IngestEngine {
                     }
                     scratch.clear();
                     fill(user_id, &mut scratch)?;
-                    batch.push_entries(&scratch)?;
-                    if batch.is_full() {
-                        let timer = metrics.flush_timer();
-                        acc.ingest_batch(&batch)?;
-                        timer.stop();
-                        metrics.record_flush(shard, batch.reports(), batch.entries());
-                        batch.clear();
-                    }
+                    acc.accumulate(&scratch)?;
+                    tick.count(metrics, shard, scratch.len(), capacity);
                 }
-                if !batch.is_empty() {
-                    let timer = metrics.flush_timer();
-                    acc.ingest_batch(&batch)?;
-                    timer.stop();
-                    metrics.record_flush(shard, batch.reports(), batch.entries());
-                }
+                tick.publish(metrics, shard);
                 Ok(acc)
             })
             .collect();
@@ -470,15 +430,13 @@ impl IngestEngine {
         Ok(())
     }
 
-    /// The shard accumulators (flushed state only; buffered batches are not
-    /// included until a flush).
+    /// The shard accumulators.
     pub fn shards(&self) -> &[ShardAccumulator] {
         &self.shards
     }
 
-    /// Merge-on-read: fold every shard's partials — including reports still
-    /// buffered in per-shard batches — into one accumulator, leaving ingest
-    /// state untouched.
+    /// Merge-on-read: fold every shard's partials into one accumulator,
+    /// leaving ingest state untouched.
     ///
     /// # Errors
     /// Propagates accumulator errors (impossible for a well-formed engine).
@@ -486,11 +444,8 @@ impl IngestEngine {
         self.metrics.merges.inc();
         let _timer = self.metrics.merge_ns.start();
         let mut total = ShardAccumulator::new(self.dims)?;
-        for (shard, batch) in self.shards.iter().zip(&self.pending) {
+        for shard in &self.shards {
             total.merge(shard)?;
-            if !batch.is_empty() {
-                total.ingest_batch(batch)?;
-            }
         }
         Ok(total)
     }
@@ -512,14 +467,13 @@ impl IngestEngine {
         Ok(self.merged()?.counts())
     }
 
-    /// Reset every shard and batch to empty, keeping allocations.
+    /// Reset every shard to empty, keeping allocations. Unpublished ticks are
+    /// dropped with the reports they counted.
     pub fn clear(&mut self) {
         for shard in &mut self.shards {
             shard.clear();
         }
-        for batch in &mut self.pending {
-            batch.clear();
-        }
+        self.ticks.fill(Tick::default());
     }
 }
 
@@ -604,23 +558,19 @@ mod tests {
     }
 
     #[test]
-    fn merged_includes_pending_batches() {
-        // Capacity 100 means nothing ever auto-flushes.
+    fn submitted_reports_are_accumulated_immediately() {
+        // A tick of 100 reports is never reached, yet the shards are current.
         let mut engine = IngestEngine::new(2, IngestConfig::new(2, 100).unwrap()).unwrap();
         engine.submit(0, &report(&[(0, 1.0)])).unwrap();
         engine.submit(1, &report(&[(1, 3.0)])).unwrap();
         assert_eq!(
             engine.shards().iter().map(|s| s.reports()).sum::<usize>(),
-            0
+            2
         );
         let merged = engine.merged().unwrap();
         assert_eq!(merged.reports(), 2);
         assert_eq!(merged.means().unwrap(), vec![1.0, 3.0]);
         engine.flush().unwrap();
-        assert_eq!(
-            engine.shards().iter().map(|s| s.reports()).sum::<usize>(),
-            2
-        );
         assert_eq!(engine.merged().unwrap(), merged);
     }
 

@@ -20,11 +20,13 @@
 //! * [`client`] — user-side sampling and perturbation.
 //! * [`report`] — the wire format between users and the collector.
 //! * [`aggregator`] — reference single-loop aggregation into per-dimension
-//!   means (Welford moments; the semantics every scaled path must match).
+//!   means (Welford moments; the test oracle every scaled path must match).
+//! * [`seed`] — the SplitMix64 finalizer and the per-user seed every
+//!   collection path derives its randomness from.
 //! * [`shard`] — hash-based shard routing and per-shard partial sums/counts.
-//! * [`ingest`] — the sharded, batched ingest engine (bounded report batches
-//!   flowing shard-locally, merge-on-read estimation) that scales the
-//!   aggregation to millions of users.
+//! * [`ingest`] — the sharded ingest engine (reports accumulated
+//!   shard-locally, merge-on-read estimation) that scales the aggregation to
+//!   millions of users; the numeric and frequency pipelines both run on it.
 //! * [`pipeline`] — one-call end-to-end mean estimation over a dataset,
 //!   running on the sharded engine.
 //! * [`frequency`] — end-to-end frequency estimation over categorical data.
@@ -45,6 +47,7 @@ pub mod ingest;
 pub mod metrics;
 pub mod pipeline;
 pub mod report;
+pub mod seed;
 pub mod shard;
 pub mod telemetry;
 
@@ -57,6 +60,7 @@ pub use ingest::{IngestConfig, IngestEngine, ReportBatch};
 pub use metrics::UtilityReport;
 pub use pipeline::{MeanEstimate, MeanEstimationPipeline, PipelineConfig};
 pub use report::Report;
+pub use seed::{splitmix64, user_seed};
 pub use shard::{ShardAccumulator, ShardRouter};
 pub use telemetry::{IngestMetrics, PipelineMetrics};
 

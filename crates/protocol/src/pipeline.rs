@@ -10,7 +10,7 @@
 //! fast.
 
 use crate::telemetry::{PipelineMetrics, PERTURB_SAMPLE_EVERY};
-use crate::{BudgetSplit, Client, IngestConfig, IngestEngine, ProtocolError};
+use crate::{user_seed, BudgetSplit, Client, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::Dataset;
 use hdldp_mechanisms::{build_mechanism, Mechanism, MechanismKind};
 use hdldp_telemetry::Registry;
@@ -139,7 +139,7 @@ impl MeanEstimationPipeline {
         let client = Client::new(self.mechanism.as_ref(), budget, dims)?;
 
         // Users are hash-partitioned across one ingest shard per worker
-        // thread; each shard batches its reports locally and the partial
+        // thread; each shard accumulates its reports locally and the partial
         // sums/counts are merged on read (exact).
         let seed = self.config.seed;
         let perturb_ns = self.metrics.perturb_ns.clone();
@@ -151,10 +151,7 @@ impl MeanEstimationPipeline {
             IngestEngine::with_telemetry(dims, IngestConfig::per_thread(), &self.registry)?;
         let ingest_timer = self.metrics.ingest_ns.start();
         engine.ingest_partitioned(0..dataset.users() as u64, |user, out| {
-            // Deterministic per-user stream: SplitMix-style mixing of the
-            // run seed and the user index.
-            let user_seed = seed.wrapping_add((user + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = StdRng::seed_from_u64(user_seed);
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
             let row = dataset.row(user as usize).map_err(ProtocolError::from)?;
             if sample_perturb && user % PERTURB_SAMPLE_EVERY == 0 {
                 let started = Instant::now();

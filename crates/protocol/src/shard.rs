@@ -10,18 +10,19 @@
 //! partials — the sum of per-shard sums equals the global sum, so sharding is
 //! lossless for the naive aggregation the paper analyzes.
 //!
-//! [`crate::IngestEngine`] combines these pieces with bounded report batches
-//! into the full ingest path; this module holds the two building blocks.
+//! [`crate::IngestEngine`] combines these pieces into the full ingest path;
+//! this module holds the two building blocks.
 
 use crate::ingest::ReportBatch;
+use crate::seed::splitmix64;
 use crate::ProtocolError;
 
 /// Routes reports to shards by hashing user ids.
 ///
 /// The route is a pure function of `(user id, shard count)` — independent of
 /// arrival order and thread scheduling — so a sharded run is exactly
-/// reproducible. Mixing uses the SplitMix64 finalizer, which spreads even
-/// sequential user ids uniformly across shards.
+/// reproducible. Mixing uses the SplitMix64 finalizer ([`splitmix64`]), which
+/// spreads even sequential user ids uniformly across shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardRouter {
     shards: usize,
@@ -55,11 +56,7 @@ impl ShardRouter {
         if self.shards == 1 {
             return 0;
         }
-        // SplitMix64 finalizer: full-avalanche mixing of the user id.
-        let mut z = user_id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(user_id);
         // Multiply-shift range reduction: maps the mixed hash uniformly onto
         // `0..shards` with one widening multiply, keeping the per-report
         // routing cost off the hardware-divide path that `z % shards` takes.
@@ -83,8 +80,8 @@ impl DimPartial {
 
 /// One shard's partial aggregation state: per-dimension sums and counts.
 ///
-/// Unlike [`crate::Aggregator`] (which maintains Welford running moments for
-/// diagnostics), a shard accumulator stores only what the naive estimator
+/// Unlike [`crate::Aggregator`] (the Welford reference the tests compare
+/// against), a shard accumulator stores only what the naive estimator
 /// needs — `Σ t*_ij` and `r_j` per dimension — in one flat array of
 /// sum/count pairs, so the accumulate loop is one indexed read-modify-write
 /// per entry with no per-report allocation. Partial accumulators from
@@ -170,7 +167,9 @@ impl ShardAccumulator {
     }
 
     /// Accumulate every report of a batch (the entries were already validated
-    /// against the batch's dimensionality when they were pushed).
+    /// against the batch's dimensionality when they were pushed). The engine
+    /// calls [`accumulate`](ShardAccumulator::accumulate) directly; this entry
+    /// point remains for callers that buffer reports in a [`ReportBatch`].
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when the batch was built for a

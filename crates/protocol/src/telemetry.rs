@@ -6,62 +6,53 @@
 //! stay `Clone` and worker threads record into the same metrics. Bundles
 //! registered against [`Registry::disabled`] carry only no-op handles: every
 //! recording call is a single branch, nothing allocates, and the hot submit
-//! path is untouched (ingest counters are recorded at batch-flush granularity
-//! — once per [`crate::IngestConfig::batch_capacity`] reports — not per
+//! path is untouched (ingest counters are published once per *tick* — every
+//! [`crate::IngestConfig::batch_capacity`] reports per shard — not per
 //! report).
 //!
 //! Metric names are stable and documented in `docs/OBSERVABILITY.md`:
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `ingest_reports_total` | counter | reports flushed into shard accumulators |
-//! | `ingest_entries_total` | counter | `(dimension, value)` entries flushed |
+//! | `ingest_reports_total` | counter | reports accumulated, published per tick |
+//! | `ingest_entries_total` | counter | `(dimension, value)` entries accumulated |
 //! | `ingest_rejects_total` | counter | reports rejected by validation |
-//! | `ingest_batch_flushes_total` | counter | batch drains into an accumulator |
-//! | `ingest_batch_flush_ns` | histogram | latency of one batch drain (sampled) |
+//! | `ingest_batch_flushes_total` | counter | published ticks (one per `batch_capacity` reports per shard, plus remainders) |
 //! | `ingest_merges_total` | counter | merge-on-read operations |
 //! | `ingest_merge_ns` | histogram | latency of one full merge-on-read |
-//! | `ingest_shardNNN_reports_total` | counter | reports flushed by shard `NNN` |
+//! | `ingest_shardNNN_reports_total` | counter | reports accumulated by shard `NNN` |
 //! | `pipeline_runs_total` | counter | end-to-end pipeline runs |
 //! | `pipeline_perturb_ns` | histogram | per-user perturbation (sampled) |
 //! | `pipeline_ingest_ns` | histogram | collection phase of one run |
 //! | `pipeline_estimate_ns` | histogram | estimation phase of one run |
 
-use hdldp_telemetry::{Counter, LatencyHistogram, Registry, SpanTimer};
+use hdldp_telemetry::{Counter, LatencyHistogram, Registry};
 
 /// How often [`PipelineMetrics::perturb_ns`] samples a user's perturbation
 /// latency: every `PERTURB_SAMPLE_EVERY`-th user reads the clock, the rest
 /// skip it, bounding timer overhead on million-user runs.
 pub const PERTURB_SAMPLE_EVERY: u64 = 64;
 
-/// How often [`IngestMetrics::flush_ns`] samples a batch drain's latency:
-/// counters advance on every flush, but only every `FLUSH_SAMPLE_EVERY`-th
-/// flush reads the clock. Clock reads dominate the per-flush recording cost
-/// on hosts with a slow time source, so the latency distribution is sampled
-/// while the counts stay exact.
-pub const FLUSH_SAMPLE_EVERY: u64 = 8;
-
 /// Pre-registered handles for the sharded ingest engine.
 ///
-/// Counters advance when a batch drains into its shard accumulator (flush
-/// granularity), so the per-report submit path performs no atomic traffic.
+/// Counters advance once per tick — every
+/// [`crate::IngestConfig::batch_capacity`] reports a shard accumulates — so
+/// the per-report ingest paths perform no atomic traffic.
 #[derive(Debug, Clone)]
 pub struct IngestMetrics {
-    /// Reports flushed into shard accumulators (`ingest_reports_total`).
+    /// Reports accumulated into shards (`ingest_reports_total`).
     pub reports: Counter,
-    /// Entries flushed into shard accumulators (`ingest_entries_total`).
+    /// Entries accumulated into shards (`ingest_entries_total`).
     pub entries: Counter,
     /// Reports rejected by validation (`ingest_rejects_total`).
     pub rejects: Counter,
-    /// Batch drains into an accumulator (`ingest_batch_flushes_total`).
+    /// Published ticks (`ingest_batch_flushes_total`).
     pub batch_flushes: Counter,
-    /// Latency of one batch drain (`ingest_batch_flush_ns`).
-    pub flush_ns: LatencyHistogram,
     /// Merge-on-read operations (`ingest_merges_total`).
     pub merges: Counter,
     /// Latency of one full merge-on-read (`ingest_merge_ns`).
     pub merge_ns: LatencyHistogram,
-    /// Reports flushed per shard (`ingest_shardNNN_reports_total`).
+    /// Reports accumulated per shard (`ingest_shardNNN_reports_total`).
     pub shard_reports: Vec<Counter>,
 }
 
@@ -74,7 +65,6 @@ impl IngestMetrics {
             entries: registry.counter("ingest_entries_total"),
             rejects: registry.counter("ingest_rejects_total"),
             batch_flushes: registry.counter("ingest_batch_flushes_total"),
-            flush_ns: registry.histogram("ingest_batch_flush_ns"),
             merges: registry.counter("ingest_merges_total"),
             merge_ns: registry.histogram("ingest_merge_ns"),
             shard_reports: (0..shards)
@@ -83,26 +73,8 @@ impl IngestMetrics {
         }
     }
 
-    /// A span timer for the next batch drain: live on every
-    /// [`FLUSH_SAMPLE_EVERY`]-th flush, inert otherwise — and always inert
-    /// when telemetry is disabled, without reading the clock or the counter.
-    #[inline]
-    pub(crate) fn flush_timer(&self) -> SpanTimer {
-        if self.flush_ns.is_enabled()
-            && self
-                .batch_flushes
-                .value()
-                .is_multiple_of(FLUSH_SAMPLE_EVERY)
-        {
-            self.flush_ns.start()
-        } else {
-            LatencyHistogram::noop().start()
-        }
-    }
-
-    /// Record one drained batch: `reports`/`entries` flushed into shard
-    /// `shard` (the drain latency is timed separately via
-    /// [`IngestMetrics::flush_ns`]).
+    /// Publish one tick: `reports`/`entries` accumulated into shard `shard`
+    /// since its previous tick.
     #[inline]
     pub(crate) fn record_flush(&self, shard: usize, reports: usize, entries: usize) {
         self.batch_flushes.inc();
@@ -110,6 +82,42 @@ impl IngestMetrics {
         self.entries.add(entries as u64);
         if let Some(counter) = self.shard_reports.get(shard) {
             counter.add(reports as u64);
+        }
+    }
+}
+
+/// The reports and entries one shard accumulated since its last published
+/// tick.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tick {
+    reports: usize,
+    entries: usize,
+}
+
+impl Tick {
+    /// Count one report of `entries` entries accumulated into shard `shard`,
+    /// publishing the tick once it holds `every` reports.
+    #[inline]
+    pub(crate) fn count(
+        &mut self,
+        metrics: &IngestMetrics,
+        shard: usize,
+        entries: usize,
+        every: usize,
+    ) {
+        self.reports += 1;
+        self.entries += entries;
+        if self.reports >= every {
+            self.publish(metrics, shard);
+        }
+    }
+
+    /// Publish a non-empty tick into `metrics` and start a new one.
+    #[inline]
+    pub(crate) fn publish(&mut self, metrics: &IngestMetrics, shard: usize) {
+        if self.reports > 0 {
+            metrics.record_flush(shard, self.reports, self.entries);
+            *self = Self::default();
         }
     }
 }

@@ -36,7 +36,7 @@
 //!
 //! let registry = Registry::new();
 //! let reports = registry.counter("ingest_reports_total");
-//! let latency = registry.histogram("ingest_batch_flush_ns");
+//! let latency = registry.histogram("ingest_merge_ns");
 //!
 //! reports.add(256);
 //! {

@@ -9,29 +9,25 @@
 //!
 //! Per-user randomness is derived deterministically from a run seed and the
 //! user id, so a fixed seed reproduces the same estimate bit-for-bit; the
-//! shard count is part of the pipeline configuration (default 4) because the
-//! merge-on-read summation order, and hence the floating-point result, depends
-//! on it.
+//! engine always runs 4 shards because the merge-on-read summation order, and
+//! hence the floating-point result, depends on the shard count.
 
 use crate::telemetry::WorkloadMetrics;
 use crate::{CategoricalOracle, OracleEntryMechanism, OracleKind, Result, WorkloadError};
-use hdldp_protocol::{FrequencyEstimate, IngestConfig, IngestEngine};
+use hdldp_protocol::{user_seed, FrequencyEstimate, IngestConfig, IngestEngine};
 use hdldp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Mix a run seed and a user id into an independent per-user RNG seed
-/// (splitmix-style odd-constant multiply so consecutive users decorrelate).
-pub(crate) fn user_seed(seed: u64, user_id: u64) -> u64 {
-    seed.wrapping_add((user_id + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
+/// Shards of the collector's ingest engine, fixed for the reason the module
+/// docs give.
+const INGEST_SHARDS: usize = 4;
 
 /// End-to-end frequency-oracle collection for one categorical dimension.
 #[derive(Debug, Clone)]
 pub struct OraclePipeline {
     oracle: CategoricalOracle,
     seed: u64,
-    ingest: IngestConfig,
     registry: Registry,
     metrics: WorkloadMetrics,
 }
@@ -60,21 +56,12 @@ impl OraclePipeline {
         registry: &Registry,
     ) -> Result<Self> {
         let oracle = CategoricalOracle::new(kind, categories, epsilon)?;
-        let ingest = IngestConfig::new(4, 256).map_err(WorkloadError::Protocol)?;
         Ok(Self {
             oracle,
             seed,
-            ingest,
             registry: registry.clone(),
             metrics: WorkloadMetrics::register(registry),
         })
-    }
-
-    /// Override the sharded-ingest configuration (shard count and batch
-    /// capacity). The default is 4 shards × 256 reports.
-    pub fn with_ingest_config(mut self, config: IngestConfig) -> Self {
-        self.ingest = config;
-        self
     }
 
     /// The configured oracle.
@@ -117,7 +104,9 @@ impl OraclePipeline {
         self.metrics.runs.inc();
         self.metrics.reports.add(values.len() as u64);
 
-        let mut engine = IngestEngine::with_telemetry(k, self.ingest, &self.registry)
+        let config = IngestConfig::new(INGEST_SHARDS, IngestConfig::DEFAULT_BATCH_CAPACITY)
+            .map_err(WorkloadError::Protocol)?;
+        let mut engine = IngestEngine::with_telemetry(k, config, &self.registry)
             .map_err(WorkloadError::Protocol)?;
         let oracle = self.oracle;
         let seed = self.seed;
@@ -248,9 +237,8 @@ mod tests {
     fn telemetry_records_runs_and_reports() {
         let registry = Registry::new();
         let values = planted_values(1_000, &[0.7, 0.3], 5);
-        let pipeline = OraclePipeline::with_telemetry(OracleKind::Oue, 2, 1.0, 8, &registry)
-            .unwrap()
-            .with_ingest_config(IngestConfig::new(2, 64).unwrap());
+        let pipeline =
+            OraclePipeline::with_telemetry(OracleKind::Oue, 2, 1.0, 8, &registry).unwrap();
         pipeline.run(&values).unwrap();
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("workload_runs_total"), Some(1));

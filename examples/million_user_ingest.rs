@@ -10,7 +10,8 @@
 //! This is the aggregator of Section III-B at the scale the paper assumes:
 //! each user samples `m` of her `d` dimensions, perturbs each with budget
 //! `ε/m`, and the collector ingests the reports through hash-partitioned
-//! shards — per-shard partial sums, bounded report batches, merge-on-read.
+//! shards — each report added straight into its shard's partial sums, merged
+//! on read.
 //! The simulated population is lazy (a user's value in a dimension is a pure
 //! function of her id), so no gigabyte-scale dataset is materialized and the
 //! per-dimension population means are known exactly; the example prints
@@ -70,7 +71,7 @@ pub fn run(users: u64, shards: usize) -> Result<(), Box<dyn std::error::Error + 
     let mechanism = build_mechanism(MechanismKind::Piecewise, budget.per_dimension())?;
     let client = Client::new(mechanism.as_ref(), budget, DIMS)?;
 
-    // Collector side: reports hash-partition across shards, batch
+    // Collector side: reports hash-partition across shards, accumulate
     // shard-locally, and the estimate is produced by merge-on-read.
     let mut engine = IngestEngine::new(
         DIMS,

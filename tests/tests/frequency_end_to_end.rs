@@ -7,7 +7,10 @@ use hdldp_data::CategoricalDataset;
 use hdldp_integration_tests::test_rng;
 use hdldp_math::stats;
 use hdldp_mechanisms::MechanismKind;
-use hdldp_protocol::{FrequencyPipeline, PipelineConfig};
+use hdldp_protocol::{user_seed, Aggregator, FrequencyPipeline, PipelineConfig, Report};
+use rand::rngs::StdRng;
+use rand::seq::index::sample;
+use rand::SeedableRng;
 
 fn survey(users: usize) -> CategoricalDataset {
     CategoricalDataset::generate_zipf(users, vec![6, 4, 10], &mut test_rng(55)).unwrap()
@@ -80,6 +83,58 @@ fn true_frequencies_match_encoded_column_means() {
         let freqs = data.true_frequencies(j).unwrap();
         for (c, &f) in freqs.iter().enumerate() {
             assert!((means[offset + c] - f).abs() < 1e-12);
+        }
+    }
+}
+
+/// The pipeline's collection replayed serially through the Welford reference
+/// `Aggregator`: user `i` draws from `user_seed(seed, i)`, samples `m`
+/// dimensions, and perturbs every one-hot entry of each in order.
+#[test]
+fn pipeline_matches_a_serial_aggregator_replay() {
+    let data = survey(2_000);
+    let (seed, m) = (31, 2);
+    for kind in [MechanismKind::Piecewise, MechanismKind::Duchi] {
+        let pipeline = FrequencyPipeline::new(kind, PipelineConfig::new(2.0, m, seed)).unwrap();
+        let estimate = pipeline.run(&data).unwrap();
+
+        let categories = data.categories();
+        let offsets: Vec<usize> = categories
+            .iter()
+            .scan(0, |next, &v| {
+                let offset = *next;
+                *next += v;
+                Some(offset)
+            })
+            .collect();
+        let mut aggregator = Aggregator::new(categories.iter().sum()).unwrap();
+        for user in 0..data.users() {
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, user as u64));
+            let mut entries = Vec::new();
+            for j in sample(&mut rng, data.dims(), m) {
+                let value = data.value(user, j).unwrap();
+                for c in 0..categories[j] {
+                    let raw = if c == value { 1.0 } else { 0.0 };
+                    entries.push((offsets[j] + c, pipeline.mechanism().perturb(raw, &mut rng)));
+                }
+            }
+            aggregator.ingest(&Report::new(entries)).unwrap();
+        }
+
+        let counts = aggregator.report_counts();
+        let means = aggregator.estimated_means().unwrap();
+        for (j, (&offset, &v)) in offsets.iter().zip(categories).enumerate() {
+            assert_eq!(
+                estimate.report_counts[j], counts[offset],
+                "{kind:?} dim {j}"
+            );
+            for c in 0..v {
+                let (got, want) = (estimate.estimated[j][c], means[offset + c]);
+                assert!(
+                    (got - want).abs() <= 1e-12,
+                    "{kind:?} dim {j} category {c}: {got} vs {want}"
+                );
+            }
         }
     }
 }

@@ -212,6 +212,14 @@ fn instrumented_engine_counts_match_the_workload() {
         ]);
         engine.submit(user, &report).unwrap();
     }
+    // Until `flush`, only whole 64-report ticks are published.
+    let whole_ticks: u64 = engine
+        .shard_loads()
+        .iter()
+        .map(|&load| (load / 64 * 64) as u64)
+        .sum();
+    let before = registry.snapshot();
+    assert_eq!(before.counter("ingest_reports_total"), Some(whole_ticks));
     engine.flush().unwrap();
     let merged = engine.merged().unwrap();
     assert_eq!(merged.reports(), users as usize);
@@ -231,14 +239,52 @@ fn instrumented_engine_counts_match_the_workload() {
         .sum();
     assert_eq!(shard_sum, users);
 
-    // Every report went through a counted batch flush; the flush latency is
-    // sampled every FLUSH_SAMPLE_EVERY-th flush, which on this serial path is
-    // deterministic: flushes 0, 8, 16, ... read the clock.
-    let flushes = snapshot.counter("ingest_batch_flushes_total").unwrap();
-    let flush_hist = snapshot.histogram("ingest_batch_flush_ns").unwrap();
-    assert!(flushes > 0);
-    assert_eq!(flush_hist.count, flushes.div_ceil(8));
+    // Each shard published one tick per 64 reports, and `flush` published
+    // its remainder.
+    assert_eq!(
+        snapshot.counter("ingest_batch_flushes_total"),
+        Some(expected_ticks(&engine.shard_loads(), 64))
+    );
     assert_eq!(snapshot.histogram("ingest_merge_ns").unwrap().count, 1);
+}
+
+/// Ticks a run publishes: one per `tick` reports on each shard, plus one for
+/// each shard's non-empty remainder.
+fn expected_ticks(loads: &[usize], tick: usize) -> u64 {
+    loads.iter().map(|&load| load.div_ceil(tick) as u64).sum()
+}
+
+#[test]
+fn instrumented_partitioned_ingest_counts_match_the_workload() {
+    let dims = 32usize;
+    let users = 1_000u64;
+    let registry = Registry::new();
+    let config = IngestConfig::new(4, 64).unwrap();
+    let mut engine = IngestEngine::with_telemetry(dims, config, &registry).unwrap();
+
+    engine
+        .ingest_partitioned(0..users, |user, out| {
+            out.push(((user as usize) % dims, 1.0));
+            out.push(((user as usize * 7) % dims, -1.0));
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(engine.reports(), users as usize);
+
+    // Every worker publishes its remainder itself: no flush is needed.
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("ingest_reports_total"), Some(users));
+    assert_eq!(snapshot.counter("ingest_entries_total"), Some(users * 2));
+    assert_eq!(snapshot.counter("ingest_rejects_total"), Some(0));
+    let loads = engine.shard_loads();
+    for (shard, &load) in loads.iter().enumerate() {
+        let name = format!("ingest_shard{shard:03}_reports_total");
+        assert_eq!(snapshot.counter(&name), Some(load as u64), "{name}");
+    }
+    assert_eq!(
+        snapshot.counter("ingest_batch_flushes_total"),
+        Some(expected_ticks(&loads, 64))
+    );
 }
 
 #[test]
@@ -248,7 +294,7 @@ fn rejected_reports_are_counted_and_not_ingested() {
         IngestEngine::with_telemetry(8, IngestConfig::new(2, 16).unwrap(), &registry).unwrap();
 
     engine.submit_entries(0, &[(1usize, 0.5)]).unwrap();
-    // Dimension out of range: rejected before touching any batch.
+    // Dimension out of range: rejected before touching any shard.
     assert!(engine.submit_entries(1, &[(99usize, 0.5)]).is_err());
 
     engine.flush().unwrap();
