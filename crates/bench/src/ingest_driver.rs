@@ -1,5 +1,5 @@
 //! Million-user ingest simulation: the driver behind the
-//! `million_user_ingest` binary and example.
+//! `million_user_ingest` binary.
 //!
 //! The paper's setting is an aggregator collecting perturbed reports from a
 //! very large population (Section III-B). This driver simulates that scale
@@ -15,15 +15,13 @@
 //!
 //! Users stream through [`hdldp_protocol::IngestEngine`]: hash-partitioned
 //! across shards, accumulated shard-locally, merged on read. Each user's
-//! randomness is seeded by [`hdldp_protocol::user_seed`], the same stream the
-//! pipelines use. The driver reports throughput (users and reports per
-//! second) alongside the estimate's MSE.
+//! randomness is seeded by [`hdldp_protocol::IngestEngine::collect`], the
+//! same streams the pipelines use. The driver reports throughput (users and
+//! reports per second) alongside the estimate's MSE.
 
 use hdldp_mechanisms::{build_mechanism, MechanismKind};
-use hdldp_protocol::{splitmix64, user_seed, BudgetSplit, Client, IngestConfig, IngestEngine};
+use hdldp_protocol::{splitmix64, BudgetSplit, Client, IngestConfig, IngestEngine};
 use hdldp_telemetry::{Registry, TelemetrySnapshot};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -50,15 +48,15 @@ pub struct IngestSimConfig {
 
 impl IngestSimConfig {
     /// A reasonable default telemetry-style workload for `users` users:
-    /// 256 dimensions, 8 reported per user, ε = 1, one shard per worker
-    /// thread, Laplace perturbation.
+    /// 256 dimensions, 8 reported per user, ε = 1, the engine's default
+    /// shard count, Laplace perturbation.
     pub fn for_users(users: u64) -> Self {
         Self {
             users,
             dims: 256,
             reported_dims: 8,
             total_epsilon: 1.0,
-            shards: rayon::current_num_threads().max(1),
+            shards: IngestConfig::DEFAULT_SHARDS,
             batch_capacity: IngestConfig::DEFAULT_BATCH_CAPACITY,
             mechanism: MechanismKind::Laplace,
             seed: 42,
@@ -165,9 +163,8 @@ pub fn simulate_ingest_with(
 
     let seed = config.seed;
     let start = Instant::now();
-    engine.ingest_partitioned(0..config.users, |user, out| {
-        let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
-        client.perturb_lazy_into(|dim| user_value(seed, user, dim), &mut rng, out);
+    engine.collect(0..config.users, seed, |user, rng, out| {
+        client.perturb_lazy_into(|dim| user_value(seed, user, dim), rng, out);
         Ok(())
     })?;
     let ingest_secs = start.elapsed().as_secs_f64().max(1e-9);

@@ -8,16 +8,18 @@
 //! category frequencies. This reduces `d`-dimensional frequency estimation to
 //! `d` high-dimensional mean-estimation problems, to which both the analytical
 //! framework and HDR4ME apply unchanged.
+//!
+//! Collection runs on one [`IngestEngine`] with the default shard count and
+//! per-user seeding ([`IngestEngine::collect`]), so a fixed
+//! [`FrequencyConfig`] reproduces the same estimate bit-for-bit on any host.
 
-use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
+use crate::{BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::CategoricalDataset;
 use hdldp_mechanisms::{
     DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
     PiecewiseMechanism, Rescaled, ScdfMechanism, SquareWaveMechanism, StaircaseMechanism,
 };
-use rand::rngs::StdRng;
 use rand::seq::index::sample;
-use rand::SeedableRng;
 use std::ops::Range;
 
 /// Configuration of a frequency-estimation run (same fields as the numeric
@@ -157,15 +159,14 @@ impl FrequencyPipeline {
             entries += v;
         }
 
-        let mut engine = IngestEngine::new(entries, IngestConfig::per_thread())?;
-        engine.ingest_partitioned(0..data.users() as u64, |user, out| {
-            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
-            for j in sample(&mut rng, dims, m) {
+        let mut engine = IngestEngine::new(entries, IngestConfig::default())?;
+        engine.collect(0..data.users() as u64, seed, |user, rng, out| {
+            for j in sample(rng, dims, m) {
                 let value = data.value(user as usize, j).map_err(ProtocolError::from)?;
                 let range = layout.get(j).cloned().unwrap_or_default();
                 for (c, entry) in range.enumerate() {
                     let raw = if c == value { 1.0 } else { 0.0 };
-                    out.push((entry, mechanism.perturb(raw, &mut rng)));
+                    out.push((entry, mechanism.perturb(raw, rng)));
                 }
             }
             Ok(())

@@ -17,6 +17,13 @@
 //! floating-point rounding, and the integration tests assert bit-for-bit
 //! equality on inputs where addition is exact.
 //!
+//! Floating-point summation order does depend on the shard count, so this
+//! module is the one place that fixes it ([`IngestConfig::DEFAULT_SHARDS`])
+//! and the one place that seeds users ([`IngestEngine::collect`]). Worker
+//! threads only decide which shards run side by side, never which reports a
+//! shard sees or in what order, so a pipeline's estimate depends only on its
+//! `(config, seed)`, not on the host's core count.
+//!
 //! ```
 //! use hdldp_protocol::{IngestConfig, IngestEngine, Report};
 //!
@@ -30,9 +37,10 @@
 
 use crate::shard::{ShardAccumulator, ShardRouter};
 use crate::telemetry::{IngestMetrics, Tick};
-use crate::{ProtocolError, Report};
+use crate::{user_seed, ProtocolError, Report};
 use hdldp_telemetry::Registry;
-use rayon::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::ops::Range;
 
 /// A bounded, flat batch of reports.
@@ -190,6 +198,11 @@ pub struct IngestConfig {
 }
 
 impl IngestConfig {
+    /// Default shard count. The merge-on-read summation order, and with it
+    /// the floating-point estimate, depends on the shard count, so the
+    /// default is a constant rather than the host's core count.
+    pub const DEFAULT_SHARDS: usize = 4;
+
     /// Default number of reports per shard between two telemetry ticks.
     pub const DEFAULT_BATCH_CAPACITY: usize = 256;
 
@@ -217,14 +230,6 @@ impl IngestConfig {
         })
     }
 
-    /// One shard per available worker thread, default batch capacity.
-    pub fn per_thread() -> Self {
-        Self {
-            shards: rayon::current_num_threads().max(1),
-            batch_capacity: Self::DEFAULT_BATCH_CAPACITY,
-        }
-    }
-
     /// The configured shard count.
     pub fn shards(&self) -> usize {
         self.shards
@@ -238,8 +243,13 @@ impl IngestConfig {
 }
 
 impl Default for IngestConfig {
+    /// [`IngestConfig::DEFAULT_SHARDS`] shards, each ticking every
+    /// [`IngestConfig::DEFAULT_BATCH_CAPACITY`] reports.
     fn default() -> Self {
-        Self::per_thread()
+        Self {
+            shards: Self::DEFAULT_SHARDS,
+            batch_capacity: Self::DEFAULT_BATCH_CAPACITY,
+        }
     }
 }
 
@@ -247,16 +257,17 @@ impl Default for IngestConfig {
 ///
 /// Reports enter either one at a time via [`submit`](IngestEngine::submit)
 /// or in bulk via [`ingest_partitioned`](IngestEngine::ingest_partitioned)
-/// (each shard processes exactly the users that hash to it, in parallel — no
-/// locks, no cross-shard traffic). Either way a report is accumulated
-/// straight into its shard's [`ShardAccumulator`], so the shards are always
-/// current. Estimates are produced by **merge-on-read**:
+/// and [`collect`](IngestEngine::collect) (parallel workers, each owning a
+/// block of shards — no locks, no cross-shard traffic). Either way a report
+/// is accumulated straight into its shard's [`ShardAccumulator`], so the
+/// shards are always current. Estimates are produced by **merge-on-read**:
 /// [`merged`](IngestEngine::merged) folds the per-shard partials into one
 /// accumulator without disturbing ingest state.
 ///
 /// Both paths accumulate each shard's reports in increasing user-id order,
 /// so for a fixed shard count the engine's state is a pure function of the
-/// submitted reports — independent of thread count and scheduling.
+/// submitted reports — independent of thread count and scheduling. The shard
+/// count itself comes from the [`IngestConfig`], never from the host.
 ///
 /// Engines built with [`IngestEngine::with_telemetry`] record runtime metrics
 /// (reports, rejects, merge latency, per-shard load) into the given
@@ -375,19 +386,21 @@ impl IngestEngine {
         Ok(())
     }
 
-    /// Bulk-ingest the user range `users` in parallel, one worker per shard.
+    /// Bulk-ingest the user range `users` in parallel.
     ///
     /// `fill` produces user `u`'s report by appending `(dimension, value)`
     /// entries to the scratch vector it is handed (cleared between users).
-    /// Each shard's worker walks the whole range but generates reports only
-    /// for the users that hash to it and accumulates them shard-locally: no
-    /// locks, no cross-thread report traffic, and the result is bit-for-bit
-    /// identical to calling [`submit_entries`](IngestEngine::submit_entries)
-    /// for every user in increasing id order.
+    /// `min(threads, shards)` workers each own a contiguous block of shards:
+    /// a worker walks the range once, generates reports only for the users
+    /// that hash into its block and accumulates them shard-locally. No locks,
+    /// no cross-thread report traffic, and every shard still receives its
+    /// users in increasing id order, so the result is bit-for-bit identical
+    /// to calling [`submit_entries`](IngestEngine::submit_entries) for every
+    /// user in increasing id order, whatever the host's thread count.
     ///
     /// # Errors
     /// Propagates the first `fill` or validation error; the engine is
-    /// untouched when any shard fails.
+    /// untouched when any worker fails.
     pub fn ingest_partitioned<F>(&mut self, users: Range<u64>, fill: F) -> crate::Result<()>
     where
         F: Fn(u64, &mut Vec<(usize, f64)>) -> crate::Result<()> + Sync,
@@ -398,36 +411,68 @@ impl IngestEngine {
         let dims = self.dims;
         let router = self.router;
         let capacity = self.batch_capacity;
-        let fill = &fill;
+        let shards = self.shard_count();
         let metrics = &self.metrics;
 
-        let partials: Vec<crate::Result<ShardAccumulator>> = (0..self.shard_count())
-            .into_par_iter()
-            .map(move |shard| {
-                let mut acc = ShardAccumulator::new(dims)?;
-                let mut tick = Tick::default();
-                let mut scratch: Vec<(usize, f64)> = Vec::new();
-                for user_id in users.clone() {
-                    if router.route(user_id) != shard {
-                        continue;
-                    }
-                    scratch.clear();
-                    fill(user_id, &mut scratch)?;
-                    acc.accumulate(&scratch)?;
-                    tick.count(metrics, shard, scratch.len(), capacity);
-                }
+        let blocks: Vec<crate::Result<Vec<ShardAccumulator>>> = rayon::broadcast(|ctx| {
+            // Worker w of W owns shards [w·S/W, (w+1)·S/W); workers beyond
+            // the shard count own none and return at once.
+            let workers = ctx.num_threads().min(shards);
+            if ctx.index() >= workers {
+                return Ok(Vec::new());
+            }
+            let lo = ctx.index() * shards / workers;
+            let hi = (ctx.index() + 1) * shards / workers;
+            let mut block = (lo..hi)
+                .map(|_| Ok((ShardAccumulator::new(dims)?, Tick::default())))
+                .collect::<crate::Result<Vec<_>>>()?;
+            let mut scratch: Vec<(usize, f64)> = Vec::new();
+            for user_id in users.clone() {
+                let shard = router.route(user_id);
+                let Some((acc, tick)) = shard.checked_sub(lo).and_then(|i| block.get_mut(i)) else {
+                    continue;
+                };
+                scratch.clear();
+                fill(user_id, &mut scratch)?;
+                acc.accumulate(&scratch)?;
+                tick.count(metrics, shard, scratch.len(), capacity);
+            }
+            for (shard, (_, tick)) in (lo..).zip(&mut block) {
                 tick.publish(metrics, shard);
-                Ok(acc)
-            })
-            .collect();
+            }
+            Ok(block.into_iter().map(|(acc, _)| acc).collect())
+        });
 
-        // Only merge once every shard succeeded, so a failed bulk ingest
-        // leaves the engine exactly as it was.
-        let partials = partials.into_iter().collect::<crate::Result<Vec<_>>>()?;
-        for (shard, partial) in self.shards.iter_mut().zip(&partials) {
+        // Only merge once every worker succeeded, so a failed bulk ingest
+        // leaves the engine exactly as it was. Blocks arrive in worker order,
+        // so flattening them restores shard order.
+        let blocks = blocks.into_iter().collect::<crate::Result<Vec<_>>>()?;
+        for (shard, partial) in self.shards.iter_mut().zip(blocks.iter().flatten()) {
             shard.merge(partial)?;
         }
         Ok(())
+    }
+
+    /// Bulk-ingest the user range `users` with per-user randomness: `fill`
+    /// is handed user `u`'s own generator, seeded with [`user_seed`]`(seed,
+    /// u)`, and appends the report's entries as in
+    /// [`ingest_partitioned`](IngestEngine::ingest_partitioned).
+    ///
+    /// This is the collection step of every pipeline: a user's report depends
+    /// only on `(seed, u)` and the engine's state only on the reports and the
+    /// shard count, so the estimate is a pure function of the configuration
+    /// and the seed.
+    ///
+    /// # Errors
+    /// Same conditions as [`ingest_partitioned`](IngestEngine::ingest_partitioned).
+    pub fn collect<F>(&mut self, users: Range<u64>, seed: u64, fill: F) -> crate::Result<()>
+    where
+        F: Fn(u64, &mut StdRng, &mut Vec<(usize, f64)>) -> crate::Result<()> + Sync,
+    {
+        self.ingest_partitioned(users, |user, out| {
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
+            fill(user, &mut rng, out)
+        })
     }
 
     /// The shard accumulators.
@@ -533,7 +578,7 @@ mod tests {
         assert_eq!(config.shards(), 4);
         assert_eq!(config.batch_capacity(), 16);
         let default = IngestConfig::default();
-        assert!(default.shards() >= 1);
+        assert_eq!(default.shards(), IngestConfig::DEFAULT_SHARDS);
         assert_eq!(
             default.batch_capacity(),
             IngestConfig::DEFAULT_BATCH_CAPACITY

@@ -4,18 +4,18 @@
 //! sharded ingest engine (naive mean aggregation), exactly reproducing the
 //! collection procedure of Section III-B: `n` users, `d` dimensions, `m`
 //! reported dimensions per user, per-dimension budget `ε/m`. Users are
-//! hash-partitioned across one ingest shard per worker thread and each user's
-//! randomness is derived from the run seed and her id alone, so runs are
-//! deterministic given the configured seed while paper-scale collections stay
-//! fast.
+//! hash-partitioned across the engine's default
+//! [`IngestConfig::DEFAULT_SHARDS`] shards and each user's randomness is
+//! derived from the run seed and the user's id alone
+//! ([`IngestEngine::collect`]), so an estimate depends only on the
+//! configuration and the seed — not on the host's core count — while
+//! paper-scale collections stay parallel.
 
 use crate::telemetry::{PipelineMetrics, PERTURB_SAMPLE_EVERY};
-use crate::{user_seed, BudgetSplit, Client, IngestConfig, IngestEngine, ProtocolError};
+use crate::{BudgetSplit, Client, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::Dataset;
 use hdldp_mechanisms::{build_mechanism, Mechanism, MechanismKind};
 use hdldp_telemetry::Registry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -133,34 +133,48 @@ impl MeanEstimationPipeline {
     /// [`ProtocolError::EmptyDimension`] in the (vanishingly unlikely at
     /// realistic scales) event that some dimension received no report.
     pub fn run(&self, dataset: &Dataset) -> crate::Result<MeanEstimate> {
+        self.run_seeded(dataset, self.config.seed)
+    }
+
+    /// Run the pipeline `trials` times with distinct seeds and return every
+    /// estimate (used by the experiment harness to average MSE over
+    /// repetitions, as the paper does). Trial `t` runs with seed
+    /// `seed + t`.
+    ///
+    /// # Errors
+    /// Propagates the first error from any trial.
+    pub fn run_trials(&self, dataset: &Dataset, trials: usize) -> crate::Result<Vec<MeanEstimate>> {
+        (0..trials)
+            .map(|t| self.run_seeded(dataset, self.config.seed.wrapping_add(t as u64)))
+            .collect()
+    }
+
+    /// [`run`](MeanEstimationPipeline::run) with `seed` in place of the
+    /// configured one.
+    fn run_seeded(&self, dataset: &Dataset, seed: u64) -> crate::Result<MeanEstimate> {
         self.metrics.runs.inc();
         let dims = dataset.dims();
         let budget = BudgetSplit::new(self.config.total_epsilon, self.config.reported_dims)?;
         let client = Client::new(self.mechanism.as_ref(), budget, dims)?;
 
-        // Users are hash-partitioned across one ingest shard per worker
-        // thread; each shard accumulates its reports locally and the partial
-        // sums/counts are merged on read (exact).
-        let seed = self.config.seed;
         let perturb_ns = self.metrics.perturb_ns.clone();
         // Only read the clock when the histogram actually records, and even
         // then only for every PERTURB_SAMPLE_EVERY-th user, so timing stays
         // negligible against million-user collections.
         let sample_perturb = perturb_ns.is_enabled();
         let mut engine =
-            IngestEngine::with_telemetry(dims, IngestConfig::per_thread(), &self.registry)?;
+            IngestEngine::with_telemetry(dims, IngestConfig::default(), &self.registry)?;
         let ingest_timer = self.metrics.ingest_ns.start();
-        engine.ingest_partitioned(0..dataset.users() as u64, |user, out| {
-            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
+        engine.collect(0..dataset.users() as u64, seed, |user, rng, out| {
             let row = dataset.row(user as usize).map_err(ProtocolError::from)?;
             if sample_perturb && user % PERTURB_SAMPLE_EVERY == 0 {
                 let started = Instant::now();
-                let result = client.perturb_tuple_into(row, &mut rng, out);
+                let result = client.perturb_tuple_into(row, rng, out);
                 perturb_ns
                     .record_ns(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
                 result
             } else {
-                client.perturb_tuple_into(row, &mut rng, out)
+                client.perturb_tuple_into(row, rng, out)
             }
         })?;
         ingest_timer.stop();
@@ -175,33 +189,6 @@ impl MeanEstimationPipeline {
         };
         estimate_timer.stop();
         Ok(estimate)
-    }
-
-    /// Run the pipeline `trials` times with distinct seeds and return every
-    /// estimate (used by the experiment harness to average MSE over
-    /// repetitions, as the paper does).
-    ///
-    /// # Errors
-    /// Propagates the first error from any trial.
-    pub fn run_trials(&self, dataset: &Dataset, trials: usize) -> crate::Result<Vec<MeanEstimate>> {
-        (0..trials)
-            .map(|t| {
-                let mut config = self.config;
-                config.seed = self.config.seed.wrapping_add(t as u64);
-                let pipeline = MeanEstimationPipeline {
-                    mechanism: build_mechanism(
-                        self.kind,
-                        BudgetSplit::new(config.total_epsilon, config.reported_dims)?
-                            .per_dimension(),
-                    )?,
-                    kind: self.kind,
-                    config,
-                    registry: self.registry.clone(),
-                    metrics: self.metrics.clone(),
-                };
-                pipeline.run(dataset)
-            })
-            .collect()
     }
 }
 

@@ -7,21 +7,15 @@
 //! calibrated entries are unbiased, the engine's per-category means *are* the
 //! oracle's frequency estimates — no separate aggregation step.
 //!
-//! Per-user randomness is derived deterministically from a run seed and the
-//! user id, so a fixed seed reproduces the same estimate bit-for-bit; the
-//! engine always runs 4 shards because the merge-on-read summation order, and
-//! hence the floating-point result, depends on the shard count.
+//! Collection runs through [`IngestEngine::collect`] with the default shard
+//! count, so per-user randomness comes from the run seed and the user id and
+//! a fixed seed reproduces the same estimate bit-for-bit on any host.
 
 use crate::telemetry::WorkloadMetrics;
 use crate::{CategoricalOracle, OracleEntryMechanism, OracleKind, Result, WorkloadError};
-use hdldp_protocol::{user_seed, FrequencyEstimate, IngestConfig, IngestEngine};
+use hdldp_core::{Hdr4me, Hdr4meConfig, LambdaSelector, Regularization};
+use hdldp_protocol::{FrequencyEstimate, IngestConfig, IngestEngine};
 use hdldp_telemetry::Registry;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Shards of the collector's ingest engine, fixed for the reason the module
-/// docs give.
-const INGEST_SHARDS: usize = 4;
 
 /// End-to-end frequency-oracle collection for one categorical dimension.
 #[derive(Debug, Clone)]
@@ -104,17 +98,14 @@ impl OraclePipeline {
         self.metrics.runs.inc();
         self.metrics.reports.add(values.len() as u64);
 
-        let config = IngestConfig::new(INGEST_SHARDS, IngestConfig::DEFAULT_BATCH_CAPACITY)
-            .map_err(WorkloadError::Protocol)?;
-        let mut engine = IngestEngine::with_telemetry(k, config, &self.registry)
+        let mut engine = IngestEngine::with_telemetry(k, IngestConfig::default(), &self.registry)
             .map_err(WorkloadError::Protocol)?;
         let oracle = self.oracle;
-        let seed = self.seed;
         {
             let _timer = self.metrics.collect_ns.start();
+            let users = 0..values.len() as u64;
             engine
-                .ingest_partitioned(0..values.len() as u64, |user_id, scratch| {
-                    let mut rng = StdRng::seed_from_u64(user_seed(seed, user_id));
+                .collect(users, self.seed, |user_id, rng, scratch| {
                     // The engine hands back ids from the 0..values.len()
                     // range it was given, and values were domain-checked
                     // above, so both failure paths stay cold errors instead
@@ -125,7 +116,7 @@ impl OraclePipeline {
                             reason: format!("user {user_id} outside 0..{}", values.len()),
                         }
                     })?;
-                    oracle.perturb_into(value, &mut rng, scratch).map_err(|e| {
+                    oracle.perturb_into(value, rng, scratch).map_err(|e| {
                         hdldp_protocol::ProtocolError::InvalidConfig {
                             name: "oracle",
                             reason: e.to_string(),
@@ -156,12 +147,40 @@ impl OraclePipeline {
             per_entry_epsilon: self.oracle.epsilon(),
         })
     }
+
+    /// Post-process an estimate of this pipeline into a frequency vector:
+    /// HDR4ME re-calibration with `λ* = |δ| + supremum_z·σ` weights when
+    /// `recalibration` is set, otherwise the clipped and renormalised raw
+    /// estimate.
+    ///
+    /// # Errors
+    /// Propagates λ-selector and re-calibration errors.
+    pub(crate) fn post_process(
+        &self,
+        estimate: &FrequencyEstimate,
+        recalibration: Option<Regularization>,
+        supremum_z: f64,
+    ) -> Result<Vec<f64>> {
+        let Some(regularization) = recalibration else {
+            return Ok(estimate.normalized(0));
+        };
+        let _timer = self.metrics.recalibrate_ns.start();
+        let lambda = LambdaSelector::new(supremum_z, 0.05).map_err(WorkloadError::Core)?;
+        let hdr = Hdr4me::new(Hdr4meConfig {
+            regularization,
+            lambda,
+        });
+        Ok(hdr
+            .recalibrate_frequencies(estimate, 0, &self.mechanism())?
+            .enhanced)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdldp_core::Hdr4me;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn planted_values(n: usize, truth: &[f64], seed: u64) -> Vec<usize> {
         use rand::Rng;

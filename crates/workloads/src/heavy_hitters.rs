@@ -2,14 +2,14 @@
 //!
 //! The detector runs the full categorical pipeline ([`OraclePipeline`]),
 //! optionally re-calibrates the estimated frequencies with HDR4ME
-//! ([`Hdr4me::recalibrate_frequencies`]) — shrinking the noise floor before
-//! any selection happens — and then selects heavy categories by top-`k` or by
-//! a frequency threshold. Utility is reported as precision/recall/F1 against
+//! ([`hdldp_core::Hdr4me::recalibrate_frequencies`]) — shrinking the noise
+//! floor before any selection happens — and then selects heavy categories by
+//! top-`k` or by a frequency threshold. Utility is reported as precision/recall/F1 against
 //! the empirical ground truth.
 
 use crate::collect::OraclePipeline;
 use crate::{OracleKind, Result, WorkloadError};
-use hdldp_core::{Hdr4me, Hdr4meConfig, LambdaSelector, Regularization};
+use hdldp_core::Regularization;
 use hdldp_protocol::FrequencyEstimate;
 use hdldp_telemetry::Registry;
 use rand::rngs::StdRng;
@@ -172,7 +172,6 @@ pub fn planted_dataset(
 pub struct HeavyHitterDetector {
     config: HeavyHitterConfig,
     pipeline: OraclePipeline,
-    metrics: crate::telemetry::WorkloadMetrics,
 }
 
 impl HeavyHitterDetector {
@@ -218,11 +217,7 @@ impl HeavyHitterDetector {
             config.seed,
             registry,
         )?;
-        Ok(Self {
-            config,
-            pipeline,
-            metrics: crate::telemetry::WorkloadMetrics::register(registry),
-        })
+        Ok(Self { config, pipeline })
     }
 
     /// The configuration this detector runs with.
@@ -236,20 +231,11 @@ impl HeavyHitterDetector {
     /// Propagates pipeline errors and HDR4ME re-calibration errors.
     pub fn identify(&self, values: &[usize]) -> Result<HeavyHitterReport> {
         let estimate = self.pipeline.run(values)?;
-        let frequencies = match self.config.recalibration {
-            Some(reg) => {
-                let _timer = self.metrics.recalibrate_ns.start();
-                let lambda = LambdaSelector::new(self.config.supremum_z, 0.05)
-                    .map_err(WorkloadError::Core)?;
-                let hdr = Hdr4me::new(Hdr4meConfig {
-                    regularization: reg,
-                    lambda,
-                });
-                hdr.recalibrate_frequencies(&estimate, 0, &self.pipeline.mechanism())?
-                    .enhanced
-            }
-            None => estimate.normalized(0),
-        };
+        let frequencies = self.pipeline.post_process(
+            &estimate,
+            self.config.recalibration,
+            self.config.supremum_z,
+        )?;
 
         let mut order: Vec<usize> = (0..frequencies.len()).collect();
         // Post-processed frequencies are finite; total_cmp gives the same

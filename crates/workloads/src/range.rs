@@ -18,7 +18,7 @@
 
 use crate::collect::OraclePipeline;
 use crate::{OracleKind, Result, WorkloadError};
-use hdldp_core::{Hdr4me, Hdr4meConfig, LambdaSelector, Regularization};
+use hdldp_core::Regularization;
 use hdldp_protocol::BudgetSplit;
 use hdldp_telemetry::Registry;
 use std::ops::Range;
@@ -223,20 +223,11 @@ impl RangeWorkload {
             )?;
             let memberships: Vec<usize> = values.iter().map(|&v| v / width).collect();
             let estimate = pipeline.run(&memberships)?;
-            let freqs = match self.config.recalibration {
-                Some(reg) => {
-                    let _timer = self.metrics.recalibrate_ns.start();
-                    let lambda = LambdaSelector::new(self.config.supremum_z, 0.05)
-                        .map_err(WorkloadError::Core)?;
-                    let hdr = Hdr4me::new(Hdr4meConfig {
-                        regularization: reg,
-                        lambda,
-                    });
-                    hdr.recalibrate_frequencies(&estimate, 0, &pipeline.mechanism())?
-                        .enhanced
-                }
-                None => estimate.normalized(0),
-            };
+            let freqs = pipeline.post_process(
+                &estimate,
+                self.config.recalibration,
+                self.config.supremum_z,
+            )?;
             levels.push(freqs);
         }
 
