@@ -8,16 +8,15 @@
 //! equivalent to reporting all dimensions from `nm/d` users, which is what
 //! makes `E[r_j] = nm/d`.
 
-use crate::{BudgetSplit, ProtocolError, Report};
+use crate::{BudgetSplit, DimensionSampler, ProtocolError, Report};
 use hdldp_mechanisms::Mechanism;
-use rand::seq::index::sample;
 use rand::RngCore;
 
 /// A client that perturbs user tuples with a given mechanism and budget split.
 pub struct Client<'a> {
     mechanism: &'a dyn Mechanism,
     budget: BudgetSplit,
-    dims: usize,
+    sampler: DimensionSampler,
 }
 
 impl<'a> Client<'a> {
@@ -42,15 +41,7 @@ impl<'a> Client<'a> {
                 reason: "dimensionality must be positive".into(),
             });
         }
-        if budget.reported_dims() > dims {
-            return Err(ProtocolError::InvalidConfig {
-                name: "reported_dims",
-                reason: format!(
-                    "cannot report {} dimensions out of {dims}",
-                    budget.reported_dims()
-                ),
-            });
-        }
+        let sampler = DimensionSampler::new(dims, budget.reported_dims())?;
         let expected = budget.per_dimension();
         if (mechanism.epsilon() - expected).abs() > 1e-9 * expected.max(1.0) {
             return Err(ProtocolError::InvalidConfig {
@@ -64,13 +55,13 @@ impl<'a> Client<'a> {
         Ok(Self {
             mechanism,
             budget,
-            dims,
+            sampler,
         })
     }
 
     /// The dimensionality `d` this client expects.
     pub fn dims(&self) -> usize {
-        self.dims
+        self.sampler.length()
     }
 
     /// The budget split in use.
@@ -110,10 +101,10 @@ impl<'a> Client<'a> {
         rng: &mut dyn RngCore,
         out: &mut Vec<(usize, f64)>,
     ) -> crate::Result<()> {
-        if tuple.len() != self.dims {
+        if tuple.len() != self.dims() {
             return Err(ProtocolError::InvalidConfig {
                 name: "tuple",
-                reason: format!("expected {} dimensions, got {}", self.dims, tuple.len()),
+                reason: format!("expected {} dimensions, got {}", self.dims(), tuple.len()),
             });
         }
         self.perturb_lazy_into(|j| tuple[j], rng, out);
@@ -127,19 +118,24 @@ impl<'a> Client<'a> {
     /// standing in for millions of users never needs to materialize a full
     /// `d`-dimensional tuple per user — only the `m` sampled dimensions are
     /// ever evaluated.
+    ///
+    /// The dimensions are drawn by [`DimensionSampler::sample_into`], which
+    /// consumes exactly the randomness of its reference oracle
+    /// `rand::seq::index::sample(rng, d, m)` and yields the same dimensions
+    /// in the same order; every dimension is drawn before the first
+    /// perturbation, and the perturbations follow in draw order. The sampled
+    /// entries are written into `out` and perturbed in place, so a reused
+    /// `out` stops allocating once it has reached the sampler's working size
+    /// (`d` entries when `2m ≥ d`, at most `9m` otherwise).
     pub fn perturb_lazy_into<V: Fn(usize) -> f64>(
         &self,
         value_of: V,
         rng: &mut dyn RngCore,
         out: &mut Vec<(usize, f64)>,
     ) {
-        let m = self.budget.reported_dims();
-        let chosen = sample(rng, self.dims, m);
-        out.extend(
-            chosen
-                .into_iter()
-                .map(|j| (j, self.mechanism.perturb(value_of(j), rng))),
-        );
+        for (j, value) in self.sampler.sample_into(rng, out) {
+            *value = self.mechanism.perturb(value_of(*j), rng);
+        }
     }
 }
 

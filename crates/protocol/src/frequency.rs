@@ -13,13 +13,12 @@
 //! per-user seeding ([`IngestEngine::collect`]), so a fixed
 //! [`FrequencyConfig`] reproduces the same estimate bit-for-bit on any host.
 
-use crate::{BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
+use crate::{BudgetSplit, DimensionSampler, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::CategoricalDataset;
 use hdldp_mechanisms::{
     DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
     PiecewiseMechanism, Rescaled, ScdfMechanism, SquareWaveMechanism, StaircaseMechanism,
 };
-use rand::seq::index::sample;
 use std::ops::Range;
 
 /// Configuration of a frequency-estimation run (same fields as the numeric
@@ -140,13 +139,7 @@ impl FrequencyPipeline {
     /// dimension received no reports.
     pub fn run(&self, data: &CategoricalDataset) -> crate::Result<FrequencyEstimate> {
         let dims = data.dims();
-        let m = self.config.reported_dims;
-        if m > dims {
-            return Err(ProtocolError::InvalidConfig {
-                name: "reported_dims",
-                reason: format!("cannot report {m} of {dims} categorical dimensions"),
-            });
-        }
+        let sampler = DimensionSampler::new(dims, self.config.reported_dims)?;
         let seed = self.config.seed;
         let mechanism = self.mechanism.as_ref();
 
@@ -161,7 +154,16 @@ impl FrequencyPipeline {
 
         let mut engine = IngestEngine::new(entries, IngestConfig::default())?;
         engine.collect(0..data.users() as u64, seed, |user, rng, out| {
-            for j in sample(rng, dims, m) {
+            // All m dimensions are drawn (into placeholder entries at the
+            // front of `out`) before the first one-hot perturbation; the
+            // placeholders are dropped once the entries follow them.
+            let start = out.len();
+            let drawn = start..start + sampler.sample_into(rng, out).len();
+            for k in drawn.clone() {
+                let &(j, _) = out.get(k).ok_or(ProtocolError::DimensionOutOfRange {
+                    dimension: k,
+                    dims: out.len(),
+                })?;
                 let value = data.value(user as usize, j).map_err(ProtocolError::from)?;
                 let range = layout.get(j).cloned().unwrap_or_default();
                 for (c, entry) in range.enumerate() {
@@ -169,6 +171,7 @@ impl FrequencyPipeline {
                     out.push((entry, mechanism.perturb(raw, rng)));
                 }
             }
+            out.drain(drawn);
             Ok(())
         })?;
 

@@ -18,6 +18,8 @@
 //!
 //! * [`budget`] — privacy-budget accounting and splitting.
 //! * [`client`] — user-side sampling and perturbation.
+//! * [`sampler`] — the client's allocation-free dimension sampler,
+//!   bit-identical to `rand::seq::index::sample`.
 //! * [`report`] — the wire format between users and the collector.
 //! * [`aggregator`] — reference single-loop aggregation into per-dimension
 //!   means (Welford moments; the test oracle every scaled path must match).
@@ -47,6 +49,7 @@ pub mod ingest;
 pub mod metrics;
 pub mod pipeline;
 pub mod report;
+pub mod sampler;
 pub mod seed;
 pub mod shard;
 pub mod telemetry;
@@ -60,6 +63,7 @@ pub use ingest::{IngestConfig, IngestEngine, ReportBatch};
 pub use metrics::UtilityReport;
 pub use pipeline::{MeanEstimate, MeanEstimationPipeline, PipelineConfig};
 pub use report::Report;
+pub use sampler::DimensionSampler;
 pub use seed::{splitmix64, user_seed};
 pub use shard::{ShardAccumulator, ShardRouter};
 pub use telemetry::{IngestMetrics, PipelineMetrics};
